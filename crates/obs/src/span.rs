@@ -1,6 +1,6 @@
 //! Request-lifecycle spans: one [`Span`] per request, marked at each
-//! stage boundary as it moves decode → queue → execute → encode (and,
-//! for writes, through admission staging and publish).
+//! stage boundary as it moves decode → queue → execute → handoff →
+//! encode (and, for writes, through admission staging and publish).
 //!
 //! [`Span::mark`] charges the time elapsed since the *previous* mark to
 //! the named stage, so the per-stage sums can never exceed the span's
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Number of lifecycle stages.
-pub const STAGE_COUNT: usize = 6;
+pub const STAGE_COUNT: usize = 7;
 
 /// One stage of a request's life. Declaration order is pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,15 +33,26 @@ pub enum Stage {
     /// Executor service time (for writes: whatever `run_job` spent
     /// outside admission).
     Execute,
-    /// Reply delivery: completion hop back to the connection plus
-    /// response encoding.
+    /// The outcome's trip back to its connection: from the end of
+    /// execution to the front end receiving it (a pool worker's
+    /// completion queue and wake; ~0 for reads answered on the front
+    /// end's own thread).
+    Handoff,
+    /// Response encoding into the connection's write buffer.
     Encode,
 }
 
 impl Stage {
     /// All stages, in pipeline order.
-    pub const ALL: [Stage; STAGE_COUNT] =
-        [Stage::Decode, Stage::Queue, Stage::Admit, Stage::Publish, Stage::Execute, Stage::Encode];
+    pub const ALL: [Stage; STAGE_COUNT] = [
+        Stage::Decode,
+        Stage::Queue,
+        Stage::Admit,
+        Stage::Publish,
+        Stage::Execute,
+        Stage::Handoff,
+        Stage::Encode,
+    ];
 
     /// Dense index (declaration order).
     #[inline]
@@ -58,6 +69,7 @@ impl Stage {
             Stage::Admit => "admit",
             Stage::Publish => "publish",
             Stage::Execute => "execute",
+            Stage::Handoff => "handoff",
             Stage::Encode => "encode",
         }
     }
@@ -173,6 +185,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         span.mark(Stage::Queue);
         span.mark(Stage::Execute);
+        span.mark(Stage::Handoff);
         span.mark(Stage::Encode);
         let rec = span.finish();
         let sum: u64 = rec.stage_ns.iter().sum();
@@ -180,6 +193,13 @@ mod tests {
         assert!(rec.stage(Stage::Queue) >= 2_000_000, "the sleep landed in queue");
         assert_eq!(rec.stage(Stage::Admit), 0);
         assert_eq!(rec.label, "core");
+    }
+
+    #[test]
+    fn all_lists_every_stage_in_index_order() {
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage.index(), i, "{}", stage.as_str());
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! [`Conn`] is pure bookkeeping over byte slices: bytes read off a socket
 //! go in through [`Conn::ingest`], decoded [`Request`]s come out for the
-//! caller to hand to the worker pool, completions come back through
+//! caller to execute (on the worker pool, or on its own thread for reads
+//! of published state), completions come back through
 //! [`Conn::complete`], and encoded reply bytes accumulate for the caller
 //! to write when the socket allows. Both fronts drive the same machine —
 //! the epoll event loop nonblockingly, the thread-per-connection fallback
@@ -223,6 +224,9 @@ impl Conn {
     /// (immediately, or staged for ordered codecs) and resumes any parsing
     /// that was paused on the in-flight cap — hence the [`Ingested`]
     /// return, which may carry freshly decoded queries.
+    ///
+    /// The span's handoff stage ends on entry (the outcome has reached
+    /// its connection) and its encode stage covers the encoding alone.
     pub fn complete(
         &mut self,
         seq: u64,
@@ -230,8 +234,12 @@ impl Conn {
     ) -> Result<Ingested, String> {
         debug_assert!(self.in_flight > 0, "completion without a submission");
         self.in_flight = self.in_flight.saturating_sub(1);
+        let span = self.spans.remove(&seq);
+        if let Some((_, span)) = &span {
+            span.mark(Stage::Handoff);
+        }
         self.finish(seq, reply);
-        if let Some((op, span)) = self.spans.remove(&seq) {
+        if let Some((op, span)) = span {
             span.mark(Stage::Encode);
             crate::obs::finish_span(op, span);
         }

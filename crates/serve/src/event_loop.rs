@@ -11,19 +11,25 @@
 //! Architecture, one loop iteration:
 //!
 //! 1. `epoll_wait` delivers readiness for the listener, the wake pipe,
-//!    and any ready sockets (level-triggered).
+//!    and any ready sockets (level-triggered). Accepted sockets get
+//!    `TCP_NODELAY`: a reply leaves as soon as it is encoded instead of
+//!    waiting for the peer to ACK the one before it.
 //! 2. Readable sockets are drained into their [`Conn`], which decodes
-//!    complete frames; decoded queries go to the [`Service`] worker pool
-//!    via its nonblocking [`Service::try_submit`] — a full pool parks the
-//!    job instead of blocking the loop.
+//!    complete frames. Reads that only copy what the epoch published
+//!    (`INFO`, `SPECTRUM`, `CORE`) are answered right here through
+//!    [`Service::answer_inline`]. Every other query goes to the
+//!    [`Service`] worker pool via its nonblocking [`Service::try_submit`]
+//!    — a full pool parks the job instead of blocking the loop.
 //! 3. Workers finish on their own threads; completions land on a shared
-//!    queue and a byte on the wake pipe returns control to the loop,
-//!    which routes each reply back to its connection (matched by token +
-//!    sequence number, so pipelined requests resolve out of order).
-//! 4. Reply bytes flush as far as the socket allows; what remains waits
-//!    for `EPOLLOUT`. Interest masks are recomputed from the state
-//!    machine's `want_read`/`want_write` — a slow reader or a deep
-//!    pipeline automatically stops being read from (backpressure).
+//!    queue, and the push that makes it non-empty writes one byte on the
+//!    wake pipe, so one wake drains a whole batch. The loop routes each
+//!    reply back to its connection (matched by token + sequence number,
+//!    so pipelined requests resolve out of order).
+//! 4. Each connection touched in the iteration settles once: reply bytes
+//!    flush as far as the socket allows, and what remains waits for
+//!    `EPOLLOUT`. Interest masks are recomputed from the state machine's
+//!    `want_read`/`want_write` — a slow reader or a deep pipeline
+//!    automatically stops being read from (backpressure).
 //!
 //! The syscalls are bound directly, the way `avt_graph::mmap` binds
 //! `mmap(2)`: `std` already links libc, so no external crate is needed.
@@ -277,6 +283,13 @@ mod imp {
     const TOKEN_LISTENER: u64 = u64::MAX;
     const TOKEN_WAKE: u64 = u64::MAX - 1;
 
+    /// Socket reads per readiness event; level-triggered epoll reports
+    /// the rest next iteration. The loop answers published-state reads
+    /// itself, so without a bound one peer pipelining them could hold it
+    /// (and its own replies, which flush at settle) until 1 MiB of
+    /// replies piled up.
+    const READS_PER_EVENT: usize = 4;
+
     struct EventLoop<'a> {
         front: &'a EventFront,
         service: &'a Service,
@@ -332,6 +345,8 @@ mod imp {
                 // A finite timeout bounds shutdown latency and lets parked
                 // jobs retry even if no completion races the park.
                 self.poller.wait(&mut events, 100)?;
+                // One entry per readiness event and per completion; deduped
+                // below so each connection settles once per iteration.
                 let mut touched: Vec<u64> = Vec::new();
                 for ev in &events {
                     match ev.token {
@@ -358,6 +373,8 @@ mod imp {
                         touched.push(token);
                     }
                 }
+                touched.sort_unstable();
+                touched.dedup();
                 for token in touched {
                     self.settle(token);
                 }
@@ -416,6 +433,9 @@ mod imp {
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
+                // Best effort: without it the reply still arrives, only
+                // later, once the peer's delayed ACK releases it.
+                let _ = stream.set_nodelay(true);
                 let token = self.next_token;
                 self.next_token += 1;
                 if self.poller.register(stream.as_raw_fd(), token, true, false).is_err() {
@@ -441,7 +461,7 @@ mod imp {
 
         fn read_ready(&mut self, token: u64) {
             let mut buf = [0u8; 16 * 1024];
-            loop {
+            for _ in 0..READS_PER_EVENT {
                 // Scope the slot borrow: routing the ingest outcome needs
                 // `&mut self` again.
                 let outcome = {
@@ -514,17 +534,38 @@ mod imp {
             }
         }
 
-        /// Route what one ingest produced: submit queries, count protocol
-        /// rejections, raise the shutdown flag.
+        /// Route what one ingest produced: answer published-state reads
+        /// on the spot, submit other queries, count protocol rejections,
+        /// raise the shutdown flag. An answered read frees an in-flight
+        /// slot, which may decode more queries; they join the same queue,
+        /// so a long pipeline of reads is served iteratively.
         fn apply_ingested(&mut self, token: u64, ingested: Ingested) {
-            for _ in 0..ingested.malformed {
-                self.service.stats().note_error();
-            }
-            if ingested.shutdown {
-                self.shutting_down = true;
-            }
-            for (seq, request) in ingested.queries {
-                self.submit(token, seq, request);
+            let mut queue = VecDeque::new();
+            let mut next = Some(ingested);
+            while let Some(ingested) = next.take() {
+                for _ in 0..ingested.malformed {
+                    self.service.stats().note_error();
+                }
+                self.shutting_down |= ingested.shutdown;
+                queue.extend(ingested.queries);
+                while let Some((seq, request)) = queue.pop_front() {
+                    if !request.op_class().reads_published() {
+                        self.submit(token, seq, request);
+                        continue;
+                    }
+                    let Some(slot) = self.conns.get_mut(&token) else { return };
+                    let reply = self.service.answer_inline(&request, slot.conn.span(seq).as_ref());
+                    match slot.conn.complete(seq, reply) {
+                        Ok(more) => {
+                            next = Some(more);
+                            break;
+                        }
+                        Err(_) => {
+                            slot.dead = true;
+                            return;
+                        }
+                    }
+                }
             }
         }
 
@@ -532,12 +573,16 @@ mod imp {
             let completions = Arc::clone(&self.completions);
             let wake = Arc::clone(&self.wake_tx);
             let done: QueryCallback = Box::new(move |reply| {
-                completions.lock().expect("completion queue lock").push(Completion {
-                    token,
-                    seq,
-                    reply,
-                });
-                wake.wake();
+                let first = {
+                    let mut queue = completions.lock().expect("completion queue lock");
+                    queue.push(Completion { token, seq, reply });
+                    queue.len() == 1
+                };
+                // The loop drains the whole queue per wake, so only the
+                // push that makes it non-empty needs to write a byte.
+                if first {
+                    wake.wake();
+                }
             });
             let span = self.conns.get(&token).and_then(|slot| slot.conn.span(seq));
             match self.service.try_submit_traced(request, span.clone(), done) {

@@ -11,13 +11,19 @@
 //!
 //! The cheap queries (`CORE`, `SPECTRUM`, `INFO`, `STATS`) read only what
 //! the epoch published — the core array and its shell histogram, no
-//! decomposition and nothing proportional to `n`. The expensive
+//! decomposition and nothing proportional to `n`. The first three cost
+//! less than a trip through the pool, so the network fronts answer them
+//! on their own thread with [`Service::answer_inline`]. The expensive
 //! ones (`ANCHORED`, `FOLLOWERS`, `BEST`) run the same
 //! [`AnchoredCoreState`] / [`SnapshotSolver`] machinery the offline
 //! experiments use, on the frozen frame — which is exactly what makes the
-//! service-vs-offline equivalence tests possible.
+//! service-vs-offline equivalence tests possible. A `BEST` answer depends
+//! only on the epoch and `(k, b, algo)`, so the service computes each
+//! once per epoch ([`BestMemo`]) and hands every identical request the
+//! same reply.
 
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use avt_core::{AnchoredCoreState, AvtParams, Greedy, Olak, SnapshotSolver};
@@ -154,14 +160,72 @@ pub fn execute(
     }
 }
 
+/// Most distinct `(k, b, algo)` answers [`BestMemo`] keeps per epoch;
+/// requests past it are computed without being kept.
+const BEST_MEMO_SLOTS: usize = 16;
+
+type BestKey = (u32, usize, BestAlgo);
+type BestCell = Arc<OnceLock<Result<Response, String>>>;
+
+/// `BEST` answers of the newest epoch seen, computed once each.
+///
+/// The first request for a key computes it; identical requests that
+/// arrive meanwhile wait on the same cell instead of running the solver
+/// again, and later ones copy the stored reply. The replies are the ones
+/// [`execute`] gives, since it is deterministic per epoch. A newer epoch
+/// empties the memo; a request still reading an older one bypasses it.
+#[derive(Default)]
+struct BestMemo {
+    epoch: Mutex<(usize, Vec<(BestKey, BestCell)>)>,
+}
+
+impl BestMemo {
+    /// `compute()`'s answer for `key` at epoch `t`, computed at most once
+    /// per epoch while the key has a slot.
+    fn answer(
+        &self,
+        t: usize,
+        key: BestKey,
+        compute: impl FnOnce() -> Result<Response, String>,
+    ) -> Result<Response, String> {
+        let cell = {
+            let mut guard = self.epoch.lock().expect("best memo lock");
+            let (at, cells) = &mut *guard;
+            if t > *at {
+                *at = t;
+                cells.clear();
+            }
+            if t < *at {
+                None
+            } else if let Some((_, cell)) = cells.iter().find(|(k, _)| *k == key) {
+                Some(Arc::clone(cell))
+            } else if cells.len() < BEST_MEMO_SLOTS {
+                let cell = BestCell::default();
+                cells.push((key, Arc::clone(&cell)));
+                Some(cell)
+            } else {
+                None
+            }
+        };
+        match cell {
+            // The lock is released: other keys proceed while this one
+            // computes.
+            Some(cell) => cell.get_or_init(compute).clone(),
+            None => compute(),
+        }
+    }
+}
+
 /// One worker-side dispatch: `INGEST` goes to the admission buffer (when
-/// the service has one), everything else to [`execute`] against the
-/// current epoch — with `STATS` replies enriched by the writer counters.
+/// the service has one), `BEST` through the memo, everything else to
+/// [`execute`] against the current epoch — with `STATS` replies enriched
+/// by the writer counters.
 fn run_job(
     request: &Request,
     timeline: &Arc<LiveTimeline>,
     admission: Option<&Admission>,
     stats: &ServiceStats,
+    best: &BestMemo,
     span: Option<&Span>,
 ) -> Result<Response, String> {
     if let Request::Ingest { ts, insertions, deletions } = request {
@@ -183,11 +247,46 @@ fn run_job(
             .map_err(|e| e.to_string());
     }
     let epoch = timeline.current();
-    let mut reply = execute(request, &epoch, timeline.epochs_published(), stats);
+    let run = || execute(request, &epoch, timeline.epochs_published(), stats);
+    let mut reply = match *request {
+        Request::Best { k, b, algo } => best.answer(epoch.t, (k, b, algo), run),
+        _ => run(),
+    };
     if let (Ok(Response::Stats { writer, .. }), Some(adm)) = (&mut reply, admission) {
         *writer = Some(adm.snapshot());
     }
     reply
+}
+
+/// One job's service, the same on a pool worker and on a front end's
+/// thread ([`Service::answer_inline`]): charge the wait since the last
+/// span mark to `queue`, run the job, charge `execute`, and record the
+/// outcome in [`ServiceStats`] and the telemetry registry. Returns the
+/// reply and its pure service time in µs.
+fn serve_job(
+    request: &Request,
+    span: Option<&Span>,
+    timeline: &Arc<LiveTimeline>,
+    admission: Option<&Admission>,
+    stats: &ServiceStats,
+    best: &BestMemo,
+) -> (Result<Response, String>, u64) {
+    let op = request.op_class();
+    if let Some(span) = span {
+        span.mark(Stage::Queue);
+    }
+    let start = Instant::now();
+    let reply = run_job(request, timeline, admission, stats, best, span);
+    // Pure service time: the queue wait was charged to the span above,
+    // so the lanes cost model learns how long work *runs*, not how long
+    // it sat behind other work.
+    let micros = start.elapsed().as_micros() as u64;
+    if let Some(span) = span {
+        span.mark(Stage::Execute);
+    }
+    stats.record(op, reply.is_ok(), micros);
+    crate::obs::note_request(op, reply.is_ok(), micros);
+    (reply, micros)
 }
 
 /// Configuration of the [`Service`] worker pool.
@@ -317,8 +416,12 @@ pub struct Service {
     timeline: Arc<LiveTimeline>,
     admission: Option<Arc<Admission>>,
     stats: Arc<ServiceStats>,
+    best: Arc<BestMemo>,
     backend: Backend,
     workers: Vec<std::thread::JoinHandle<()>>,
+    /// Raised by [`Service::begin_shutdown`]; [`Service::answer_inline`]
+    /// refuses work once it is set, as the closed pool does.
+    closed: AtomicBool,
 }
 
 /// What [`Service::shutdown`] observed while draining.
@@ -356,6 +459,7 @@ impl Service {
     ) -> Service {
         let workers_n = config.workers.max(1);
         let stats = Arc::new(ServiceStats::default());
+        let best = Arc::new(BestMemo::default());
         match config.sched {
             SchedMode::Fifo => {
                 let (jobs, rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
@@ -366,6 +470,7 @@ impl Service {
                         let timeline = Arc::clone(&timeline);
                         let admission = admission.clone();
                         let stats = Arc::clone(&stats);
+                        let best = Arc::clone(&best);
                         std::thread::Builder::new()
                             .name(format!("avt-serve-worker-{i}"))
                             .spawn(move || loop {
@@ -374,26 +479,14 @@ impl Service {
                                 // overlap.
                                 let job = rx.lock().expect("job queue lock poisoned").recv();
                                 let Ok(job) = job else { break };
-                                let op = job.request.op_class();
-                                // Everything since the last mark (decode)
-                                // was time spent queued, not served.
-                                if let Some(span) = &job.span {
-                                    span.mark(Stage::Queue);
-                                }
-                                let start = Instant::now();
-                                let reply = run_job(
+                                let (reply, _) = serve_job(
                                     &job.request,
+                                    job.span.as_ref(),
                                     &timeline,
                                     admission.as_deref(),
                                     &stats,
-                                    job.span.as_ref(),
+                                    &best,
                                 );
-                                let micros = start.elapsed().as_micros() as u64;
-                                if let Some(span) = &job.span {
-                                    span.mark(Stage::Execute);
-                                }
-                                stats.record(op, reply.is_ok(), micros);
-                                crate::obs::note_request(op, reply.is_ok(), micros);
                                 job.reply.deliver(reply);
                             })
                             .expect("spawning a worker thread")
@@ -403,8 +496,10 @@ impl Service {
                     timeline,
                     admission,
                     stats,
+                    best,
                     backend: Backend::Fifo(Mutex::new(Some(jobs))),
                     workers,
+                    closed: AtomicBool::new(false),
                 }
             }
             SchedMode::Lanes => {
@@ -418,31 +513,20 @@ impl Service {
                         let timeline = Arc::clone(&timeline);
                         let admission = admission.clone();
                         let stats = Arc::clone(&stats);
+                        let best = Arc::clone(&best);
                         std::thread::Builder::new()
                             .name(format!("avt-serve-worker-{i}"))
                             .spawn(move || {
                                 while let Some(popped) = state.pool.pop(i) {
                                     let LaneJob { job, op, units, est_us } = popped.item;
-                                    if let Some(span) = &job.span {
-                                        span.mark(Stage::Queue);
-                                    }
-                                    let start = Instant::now();
-                                    let mut reply = run_job(
+                                    let (mut reply, micros) = serve_job(
                                         &job.request,
+                                        job.span.as_ref(),
                                         &timeline,
                                         admission.as_deref(),
                                         &stats,
-                                        job.span.as_ref(),
+                                        &best,
                                     );
-                                    // `micros` is pure service time — the
-                                    // queue wait was charged to the span
-                                    // above, so the cost model learns how
-                                    // long work *runs*, not how long it
-                                    // sat behind other work.
-                                    let micros = start.elapsed().as_micros() as u64;
-                                    if let Some(span) = &job.span {
-                                        span.mark(Stage::Execute);
-                                    }
                                     // Every finished job refines the model;
                                     // the next estimate is already better.
                                     state.model.observe(op, units, est_us, micros);
@@ -451,15 +535,21 @@ impl Service {
                                         *sched =
                                             Some(crate::sched::snapshot(&state.pool, &state.model));
                                     }
-                                    stats.record(op, reply.is_ok(), micros);
-                                    crate::obs::note_request(op, reply.is_ok(), micros);
                                     job.reply.deliver(reply);
                                 }
                             })
                             .expect("spawning a worker thread")
                     })
                     .collect();
-                Service { timeline, admission, stats, backend: Backend::Lanes(state), workers }
+                Service {
+                    timeline,
+                    admission,
+                    stats,
+                    best,
+                    backend: Backend::Lanes(state),
+                    workers,
+                    closed: AtomicBool::new(false),
+                }
             }
         }
     }
@@ -587,6 +677,26 @@ impl Service {
         }
     }
 
+    /// Answer `request` on the calling thread, bypassing the pool: no
+    /// queue, no worker wake, no completion hop. Meant for the classes
+    /// that only copy published state ([`OpClass::reads_published`]),
+    /// which cost less than the handoff to a worker would; the fronts
+    /// call it for those. Stats, telemetry and the span's `queue` and
+    /// `execute` stages are recorded exactly as a worker records them,
+    /// and once [`Service::begin_shutdown`] has run it refuses with the
+    /// pool's `service is shutting down` error.
+    pub fn answer_inline(
+        &self,
+        request: &Request,
+        span: Option<&Span>,
+    ) -> Result<Response, String> {
+        if self.closed.load(Ordering::Acquire) {
+            return Err("service is shutting down".to_string());
+        }
+        let admission = self.admission.as_deref();
+        serve_job(request, span, &self.timeline, admission, &self.stats, &self.best).0
+    }
+
     /// The timeline this service reads.
     pub fn timeline(&self) -> &Arc<LiveTimeline> {
         &self.timeline
@@ -608,6 +718,7 @@ impl Service {
     /// [`Service::shutdown`] calls this first; front-ends can call it
     /// early to quiesce intake before the final join.
     pub fn begin_shutdown(&self) {
+        self.closed.store(true, Ordering::Release);
         match &self.backend {
             // Retiring the sender is the close signal: workers drain the
             // channel, then their recv() errors out.
@@ -946,7 +1057,105 @@ mod tests {
                 Err(SubmitError::Closed(Request::Core(0), _)) => {}
                 other => panic!("{sched:?} try_submit after close: {:?}", other.map(|_| ())),
             }
+            assert_eq!(
+                svc.answer_inline(&Request::Core(0), None),
+                Err("service is shutting down".to_string()),
+                "{sched:?} inline answer after close"
+            );
             assert_eq!(svc.shutdown().worker_panics, 0, "{sched:?}");
         }
+    }
+
+    #[test]
+    fn inline_answers_match_the_pool_and_are_recorded() {
+        let svc = service();
+        let reads = [Request::Info, Request::Spectrum, Request::Core(0), Request::Core(10)];
+        for request in &reads {
+            assert_eq!(svc.answer_inline(request, None), svc.query(request.clone()), "{request:?}");
+        }
+        let Response::Stats { served, errors, per_op, .. } = svc.query(Request::Stats).unwrap()
+        else {
+            panic!("wrong reply kind")
+        };
+        assert_eq!((served, errors), (6, 2), "each read counted once per path");
+        let core = per_op.iter().find(|row| row.op == OpClass::Core).expect("core row");
+        assert_eq!(core.count, 4);
+        assert_eq!(svc.shutdown().worker_panics, 0);
+    }
+
+    #[test]
+    fn best_memo_computes_each_key_once_per_epoch() {
+        use std::sync::atomic::AtomicUsize;
+        let memo = BestMemo::default();
+        let runs = AtomicUsize::new(0);
+        let ask = |t: usize, b: usize| {
+            memo.answer(t, (3, b, BestAlgo::Greedy), || {
+                runs.fetch_add(1, Ordering::Relaxed);
+                Err(format!("t={t} b={b}"))
+            })
+        };
+        assert_eq!(ask(2, 1), Err("t=2 b=1".into()));
+        assert_eq!(ask(2, 1), Err("t=2 b=1".into()));
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "same key, same epoch: stored");
+        assert_eq!(ask(2, 2), Err("t=2 b=2".into()));
+        assert_eq!(runs.load(Ordering::Relaxed), 2, "another key computes");
+        assert_eq!(ask(3, 1), Err("t=3 b=1".into()));
+        assert_eq!(runs.load(Ordering::Relaxed), 3, "a newer epoch recomputes");
+        assert_eq!(ask(2, 1), Err("t=2 b=1".into()));
+        assert_eq!(ask(2, 1), Err("t=2 b=1".into()));
+        assert_eq!(runs.load(Ordering::Relaxed), 5, "an older epoch bypasses the memo");
+        assert_eq!(ask(3, 1), Err("t=3 b=1".into()));
+        assert_eq!(runs.load(Ordering::Relaxed), 5, "...and leaves the newer one intact");
+        for b in 2..=BEST_MEMO_SLOTS + 1 {
+            ask(3, b).unwrap_err();
+        }
+        let before = runs.load(Ordering::Relaxed);
+        ask(3, BEST_MEMO_SLOTS + 1).unwrap_err();
+        assert_eq!(runs.load(Ordering::Relaxed), before + 1, "keys past the slots are not kept");
+        ask(3, 2).unwrap_err();
+        assert_eq!(runs.load(Ordering::Relaxed), before + 1, "kept keys still answer");
+    }
+
+    #[test]
+    fn concurrent_identical_bests_share_one_computation() {
+        use std::sync::atomic::AtomicUsize;
+        let memo = BestMemo::default();
+        let runs = AtomicUsize::new(0);
+        let gate = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    gate.wait();
+                    let reply = memo.answer(1, (2, 2, BestAlgo::Olak), || {
+                        runs.fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        Err("solved".into())
+                    });
+                    assert_eq!(reply, Err("solved".into()));
+                });
+            }
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn memoized_best_follows_the_published_epoch() {
+        let svc = service();
+        for algo in [BestAlgo::Greedy, BestAlgo::Olak] {
+            let request = Request::Best { k: 3, b: 2, algo };
+            let fresh = execute(&request, &svc.timeline().current(), 1, svc.stats());
+            assert_eq!(svc.query(request.clone()), fresh, "{algo:?}");
+            assert_eq!(svc.query(request), fresh, "{algo:?} again");
+        }
+        svc.timeline().apply_batch(EdgeBatch::from_pairs([(6, 9), (9, 4)], [])).unwrap();
+        let epoch = svc.timeline().current();
+        assert_eq!(epoch.t, 2);
+        for algo in [BestAlgo::Greedy, BestAlgo::Olak] {
+            let request = Request::Best { k: 3, b: 2, algo };
+            let fresh = execute(&request, &epoch, 2, svc.stats());
+            assert!(matches!(fresh, Ok(Response::Best { t: 2, .. })), "{fresh:?}");
+            assert_eq!(svc.query(request), fresh, "{algo:?} after the epoch advanced");
+        }
+        assert_eq!(svc.shutdown().worker_panics, 0);
     }
 }

@@ -152,6 +152,15 @@ impl OpClass {
     pub fn from_wire_name(name: &str) -> Option<OpClass> {
         OpClass::ALL.into_iter().find(|op| op.wire_name() == name)
     }
+
+    /// Classes whose answer only copies what the epoch published: O(1)
+    /// (`INFO`, `CORE`) or O(degeneracy) (`SPECTRUM`). The fronts answer
+    /// these on the thread that decoded them
+    /// ([`crate::Service::answer_inline`]) instead of handing them to the
+    /// worker pool.
+    pub fn reads_published(self) -> bool {
+        matches!(self, OpClass::Info | OpClass::Spectrum | OpClass::Core)
+    }
 }
 
 /// A query executed against the current epoch.

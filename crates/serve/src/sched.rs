@@ -163,15 +163,7 @@ impl Lane {
 /// Classes whose handlers only copy what the epoch already published —
 /// cheap by construction, never routed through the estimate.
 fn cheap_by_fiat(op: OpClass) -> bool {
-    matches!(
-        op,
-        OpClass::Info
-            | OpClass::Spectrum
-            | OpClass::Core
-            | OpClass::Stats
-            | OpClass::Metrics
-            | OpClass::Trace
-    )
+    op.reads_published() || matches!(op, OpClass::Stats | OpClass::Metrics | OpClass::Trace)
 }
 
 /// Estimates above this run in the expensive lane.

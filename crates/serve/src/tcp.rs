@@ -9,8 +9,9 @@
 //! the first byte. The differences are operational: a thread and stack
 //! per socket (fine for tens of clients, the reason the epoll front
 //! exists for thousands), and queries from one connection execute
-//! *sequentially* through [`Service::query`] rather than overlapping in
-//! the pool.
+//! *sequentially* rather than overlapping in the pool: reads of published
+//! state on the handler thread itself ([`Service::answer_inline`]), the
+//! rest through [`Service::query`].
 //!
 //! Connection-level concerns are unchanged from PR 5: a connection cap,
 //! an idle-poll read timeout so handlers notice a shutdown instead of
@@ -136,7 +137,11 @@ fn run_queries(
     }
     let mut queue: VecDeque<(u64, Request)> = first.queries.into();
     while let Some((seq, request)) = queue.pop_front() {
-        let reply = service.query_traced(request, conn.span(seq));
+        let reply = if request.op_class().reads_published() {
+            service.answer_inline(&request, conn.span(seq).as_ref())
+        } else {
+            service.query_traced(request, conn.span(seq))
+        };
         let released = conn.complete(seq, reply)?;
         wants_shutdown |= released.shutdown;
         for _ in 0..released.malformed {
@@ -160,6 +165,9 @@ fn handle_connection(
     if stream.set_read_timeout(Some(idle_poll)).is_err() {
         return false;
     }
+    // Replies leave as soon as they are written, not when the peer's
+    // delayed ACK of the previous one arrives. Best effort.
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return false,

@@ -17,22 +17,33 @@
 //!   text client and a binary client converse concurrently.
 //! * **The shutdown verb drains the front**: `run` returns, the worker
 //!   pool reports no panics.
+//! * **No reply is held back.** The second of two pipelined replies
+//!   leaves when it is encoded, not when the client's delayed ACK of the
+//!   first one arrives; and on the ordered text codec a read answered on
+//!   the loop still waits for the pool-answered request before it.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use avt::datasets::er::gnm;
-use avt_serve::codec::Codec;
+use avt_serve::codec::{Codec, TextCodec};
 use avt_serve::{BinaryCodec, EventFront, LiveTimeline, Request, Response, Service, ServiceConfig};
 
 /// Boot a service on an ephemeral port; returns the address and the
 /// serving thread (joins once a client sends the shutdown verb, yielding
 /// the front's verdict and the worker-panic count).
 fn boot(seed: u64) -> (SocketAddr, std::thread::JoinHandle<(std::io::Result<()>, usize)>) {
-    let timeline = Arc::new(LiveTimeline::new(gnm(60, 240, seed)));
+    boot_on(gnm(60, 240, seed))
+}
+
+/// [`boot`] over a caller-chosen graph.
+fn boot_on(
+    graph: avt::graph::Graph,
+) -> (SocketAddr, std::thread::JoinHandle<(std::io::Result<()>, usize)>) {
+    let timeline = Arc::new(LiveTimeline::new(graph));
     let service = Service::start(timeline, ServiceConfig { workers: 2, ..Default::default() });
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
     let addr = listener.local_addr().expect("bound address");
@@ -211,6 +222,69 @@ fn text_shutdown_verb_drains_the_front_too() {
     let mut reply = String::new();
     text.read_to_string(&mut reply).expect("read bye");
     assert_eq!(reply, "OK bye\n");
+    let (verdict, panics) = handle.join().expect("serving thread");
+    verdict.expect("front drained cleanly");
+    assert_eq!(panics, 0);
+}
+
+#[test]
+fn second_reply_of_a_pipelined_pair_is_not_held_back() {
+    // Big enough that FOLLOWERS (a core decomposition, ~0.3 ms) finishes
+    // well after CORE, so the two replies leave in separate writes.
+    let (addr, handle) = boot_on(gnm(1_000, 5_000, 19));
+    let codec = BinaryCodec;
+    let mut stream = connect(addr);
+
+    // A pool-answered FOLLOWERS and a loop-answered CORE in one write.
+    // If the socket batched small segments (Nagle), the later reply would
+    // wait for the client's delayed ACK of the earlier one, ~40 ms on
+    // Linux.
+    let mut rounds = Vec::new();
+    for round in 0..40u64 {
+        let v = (round % 60) as u32;
+        let mut wire = Vec::new();
+        codec.encode_request(2 * round, &Request::Followers { k: 3, anchor: v }, &mut wire);
+        codec.encode_request(2 * round + 1, &Request::Core(v), &mut wire);
+        let start = Instant::now();
+        stream.write_all(&wire).expect("write pair");
+        for (id, reply) in read_replies(&mut stream, &codec, 2) {
+            let id = id.expect("binary replies carry ids");
+            assert!(id / 2 == round, "reply {id} outside round {round}");
+            assert!(reply.is_ok(), "request {id} failed: {reply:?}");
+        }
+        rounds.push(start.elapsed());
+    }
+    rounds.sort_unstable();
+    let p90 = rounds[rounds.len() * 9 / 10 - 1];
+    assert!(p90 < Duration::from_millis(15), "p90 round trip {p90:?}; rounds {rounds:?}");
+    shutdown_and_join(&mut stream, handle);
+}
+
+#[test]
+fn text_replies_keep_request_order_across_loop_and_pool() {
+    let (addr, handle) = boot(23);
+    let mut text = connect(addr);
+
+    // CORE is answered on the loop the moment it is decoded, before the
+    // pool finishes the FOLLOWERS ahead of it; the text codec has no
+    // reply ids, so the CORE reply must still come second.
+    for round in 0..10u32 {
+        let (anchor, v) = (round, 59 - round);
+        text.write_all(format!("FOLLOWERS 3 {anchor}\nCORE {v}\n").as_bytes()).expect("write pair");
+        let replies = read_replies(&mut text, &TextCodec, 2);
+        match &replies[0] {
+            (None, Ok(Response::Followers { anchor: a, .. })) => assert_eq!(*a, anchor),
+            other => panic!("round {round}: expected the FOLLOWERS reply first, got {other:?}"),
+        }
+        match &replies[1] {
+            (None, Ok(Response::Core { v: got, .. })) => assert_eq!(*got, v),
+            other => panic!("round {round}: expected the CORE reply second, got {other:?}"),
+        }
+    }
+
+    text.write_all(b"SHUTDOWN\n").expect("write shutdown");
+    let replies = read_replies(&mut text, &TextCodec, 1);
+    assert!(matches!(replies[0], (None, Ok(Response::Bye))), "unexpected reply {replies:?}");
     let (verdict, panics) = handle.join().expect("serving thread");
     verdict.expect("front drained cleanly");
     assert_eq!(panics, 0);

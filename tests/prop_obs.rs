@@ -5,7 +5,9 @@
 //!   nothing), and the bucketed percentile stays within the log-bucket
 //!   error bound of the exact nearest-rank sample percentile.
 //! * **Span accounting.** Stage charges partition a prefix of the
-//!   request's lifetime: their sum never exceeds the span total.
+//!   request's lifetime: their sum never exceeds the span total. The
+//!   completion's trip back to the connection is charged to `handoff`,
+//!   not to `encode`.
 //! * **Wire round-trip.** The new `METRICS`/`TRACE` verbs and replies
 //!   survive both codecs — including metrics text full of newlines,
 //!   percent signs, and tabs, which the text codec must escape through
@@ -134,7 +136,7 @@ proptest! {
         raw in vec(0u8..=255, 0..300),
         ops in vec(0u8..8, 0..5),
         totals in vec(0u64..1 << 40, 0..5),
-        stage_us in vec(0u64..1 << 30, 0..6),
+        stage_us in vec(0u64..1 << 30, 0..STAGE_COUNT + 1),
     ) {
         let cases = [
             Ok(Response::Metrics { text: metrics_text(&raw) }),
@@ -171,6 +173,25 @@ proptest! {
             }
         }
     }
+}
+
+/// A pool request's marks in lifecycle order: the wait between the
+/// worker's `execute` mark and the connection receiving the outcome
+/// lands in `handoff`, and `encode` covers only what follows it.
+#[test]
+fn completion_hop_is_charged_to_handoff_not_encode() {
+    let span = Span::begin("followers");
+    for stage in [Stage::Decode, Stage::Queue, Stage::Execute] {
+        span.mark(stage);
+    }
+    std::thread::sleep(std::time::Duration::from_millis(5));
+    span.mark(Stage::Handoff);
+    span.mark(Stage::Encode);
+    let record = span.finish();
+    assert!(record.stage(Stage::Handoff) >= 5_000_000, "the hop landed in handoff");
+    assert!(record.stage(Stage::Encode) < 5_000_000, "encode excludes the hop");
+    let sum: u64 = Stage::ALL.iter().map(|&s| record.stage(s)).sum();
+    assert!(sum <= record.total_ns, "stage sum {sum} exceeds total {}", record.total_ns);
 }
 
 /// The zero-drift guarantee behind the `AVT_OBS` axis: a fifo service
